@@ -32,6 +32,13 @@
 //
 //	energybench -tier all -run '.*' -out BENCH_baseline.json
 //
+// Profile where a scenario spends its time: -profile DIR writes a CPU
+// and an alloc pprof profile per scenario (the profiler's overhead lands
+// in that run's timings):
+//
+//	energybench -run 'layered-240' -profile prof
+//	go tool pprof -top prof/<scenario>.cpu.pprof
+//
 // When gating against a baseline, the baseline is first trimmed to the
 // same (-run, -tier, -families) slice being measured, so a one-tier run
 // against the multi-tier baseline doesn't read the other tiers as
@@ -72,6 +79,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		compareOut = fs.String("compare-out", "", "write the comparison report JSON here")
 		asJSON     = fs.Bool("json", false, "print the BENCH.json report to stdout")
 		quiet      = fs.Bool("quiet", false, "suppress per-scenario progress on stderr")
+		profile    = fs.String("profile", "", "write <scenario>.cpu.pprof and <scenario>.allocs.pprof into this directory")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -112,7 +120,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *quiet {
 		logf = nil
 	}
-	report, err := benchkit.RunAll(scenarios, benchkit.Options{Warmup: *warmup, Reps: *reps}, logf)
+	report, err := benchkit.RunAll(scenarios, benchkit.Options{Warmup: *warmup, Reps: *reps, ProfileDir: *profile}, logf)
 	if err != nil {
 		fmt.Fprintln(stderr, "energybench:", err)
 		return 2

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -199,5 +200,24 @@ func TestMalformedBaselineIsAnError(t *testing.T) {
 	code, _, stderr := runCLI(t, "-quiet", "-run", "^"+cheapScenario+"$", "-reps", "1", "-baseline", bad)
 	if code != 2 || !strings.Contains(stderr, "schema") {
 		t.Fatalf("malformed baseline: exit %d, stderr %q", code, stderr)
+	}
+}
+
+// TestProfileWritesPprofPerScenario: -profile DIR leaves a non-empty CPU
+// and alloc profile for every scenario it ran.
+func TestProfileWritesPprofPerScenario(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "prof")
+	if code, _, stderr := runCLI(t, "-quiet", "-reps", "1", "-run", "^"+cheapScenario+"$", "-profile", dir); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	for _, kind := range []string{"cpu", "allocs"} {
+		path := filepath.Join(dir, cheapScenario+"."+kind+".pprof")
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() == 0 {
+			t.Fatalf("%s is empty", path)
+		}
 	}
 }

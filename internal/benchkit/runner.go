@@ -16,6 +16,9 @@ type Options struct {
 	Warmup int
 	// Reps measured runs feed the percentiles (default 5).
 	Reps int
+	// ProfileDir, when set, makes RunAll write a CPU and an alloc pprof
+	// profile per scenario into this directory (see startProfile).
+	ProfileDir string
 }
 
 func (o Options) warmup(s Scenario) int {
@@ -123,7 +126,14 @@ func RunAll(scenarios []Scenario, opts Options, logf func(format string, args ..
 	}
 	results := make([]Result, 0, len(scenarios))
 	for i, s := range scenarios {
+		stop, err := startProfile(opts.ProfileDir, s.Name)
+		if err != nil {
+			return nil, err
+		}
 		res, err := Run(s, opts)
+		if perr := stop(); err == nil {
+			err = perr
+		}
 		if err != nil {
 			return nil, err
 		}

@@ -16,6 +16,20 @@
 // cached symbolic LDLᵀ, and the inner loop allocates nothing. Minimize
 // below is the dense reference oracle the property suite checks the
 // sparse path against.
+//
+// Both paths end centering at a barrier weight t on the first of:
+//
+//   - the Newton decrement test λ²/2 < 1e-12;
+//   - the roundoff floor: the predicted decrease of a full Newton step,
+//     λ² = −∇ᵀΔx, is at most roundoffFloor·scale, where scale =
+//     |t·f(x)| + Σ|log sᵢ| is the size of the terms summed into the
+//     barrier value. A double cannot resolve a smaller decrease of a sum
+//     that large (at t·f ≈ 2e9 the floor is about 7e-6), so further steps
+//     would be decided by rounding noise. The centering error left behind
+//     is about λ²/t in f — a relative error at the level of roundoff;
+//   - no progress: a step passes the Armijo test without decreasing the
+//     barrier value;
+//   - Options.MaxNewton iterations.
 package convex
 
 import (
@@ -53,6 +67,9 @@ type Options struct {
 	// Zero means 1e-9.
 	Tol float64
 	// MaxNewton bounds Newton iterations per centering step. Zero means 60.
+	// It is a backstop: centering normally ends earlier, on the Newton
+	// decrement test or once the predicted decrease falls below the
+	// roundoff floor of the barrier value (see the package comment).
 	MaxNewton int
 	// MaxOuter bounds barrier (centering) stages. Zero means 80.
 	MaxOuter int
@@ -174,11 +191,10 @@ func Minimize(f Objective, a *linalg.Matrix, b linalg.Vector, x0 linalg.Vector, 
 		// Centering: Newton on  t·f(x) + φ(x),  φ = -Σ log(bᵢ - aᵢᵀx).
 		for it := 0; it < maxNewton; it++ {
 			res.Newton++
-			val, gnorm, err := newtonStep(f, a, b, x, t, grad, hess, dir, slack, ws)
+			val, scale, gnorm, err := newtonStep(f, a, b, x, t, grad, hess, dir, slack, ws)
 			if err != nil {
 				return nil, err
 			}
-			_ = val
 			// Newton decrement-based stop.
 			lambda2 := -grad.Dot(dir) // dir solves H·dir = -g, so -gᵀdir = gᵀH⁻¹g ≥ 0
 			if lambda2 < 0 {
@@ -187,8 +203,8 @@ func Minimize(f Objective, a *linalg.Matrix, b linalg.Vector, x0 linalg.Vector, 
 			if lambda2/2 < 1e-12 || gnorm < 1e-13 {
 				break
 			}
-			if !lineSearchAndStep(f, a, b, x, dir, t, grad, slack, ws) {
-				break // no progress possible at this scale
+			if !lineSearchAndStep(f, a, b, x, dir, t, val, scale, grad, slack, ws) {
+				break // no measurable progress left at this t
 			}
 		}
 		gap := float64(m) / t
@@ -202,6 +218,12 @@ func Minimize(f Objective, a *linalg.Matrix, b linalg.Vector, x0 linalg.Vector, 
 	res.Value = f.Value(x)
 	return res, nil
 }
+
+// roundoffFloor is c·ε with c = 16: centering stops once the predicted
+// decrease of a Newton step is at most roundoffFloor times the magnitude
+// of the terms summed into the barrier value, below which the decrease
+// cannot be measured in float64.
+const roundoffFloor = 16 * 0x1p-52
 
 // clampT0 bounds the AutoT0 centrality estimate: non-finite or sub-unit
 // estimates fall back to the classical start t=1, and the upper clamp
@@ -234,11 +256,12 @@ type denseWorkspace struct {
 }
 
 // newtonStep assembles gradient/Hessian of t·f + φ at x and solves for the
-// Newton direction into dir. Returns the barrier-augmented value and the
-// gradient norm.
+// Newton direction into dir, leaving the slack at x in slack. Returns the
+// barrier-augmented value, its magnitude scale |t·f| + Σ|log sᵢ| (see
+// roundoffFloor), and the gradient norm.
 func newtonStep(f Objective, a *linalg.Matrix, b linalg.Vector, x linalg.Vector,
 	t float64, grad linalg.Vector, hess *linalg.Matrix, dir linalg.Vector, slack linalg.Vector,
-	ws *denseWorkspace) (float64, float64, error) {
+	ws *denseWorkspace) (float64, float64, float64, error) {
 
 	n := len(x)
 	// Gradient: t·∇f + Σ aᵢ/sᵢ.
@@ -254,7 +277,7 @@ func newtonStep(f Objective, a *linalg.Matrix, b linalg.Vector, x linalg.Vector,
 		for i := 0; i < a.Rows; i++ {
 			si := slack[i]
 			if si <= 0 {
-				return 0, 0, fmt.Errorf("%w: slack %d non-positive during centering", ErrNumerical, i)
+				return 0, 0, 0, fmt.Errorf("%w: slack %d non-positive during centering", ErrNumerical, i)
 			}
 			row := a.Row(i)
 			inv := 1 / si
@@ -269,25 +292,31 @@ func newtonStep(f Objective, a *linalg.Matrix, b linalg.Vector, x linalg.Vector,
 	}
 	fac, _, err := linalg.FactorPD(hess)
 	if err != nil {
-		return 0, 0, fmt.Errorf("%w: %v", ErrNumerical, err)
+		return 0, 0, 0, fmt.Errorf("%w: %v", ErrNumerical, err)
 	}
 	fac.SolveInto(ws.neg, dir)
 	val := t * f.Value(x)
+	scale := math.Abs(val)
 	if a != nil {
 		for i := range slack {
-			val -= math.Log(slack[i])
+			l := math.Log(slack[i])
+			val -= l
+			scale += math.Abs(l)
 		}
 	}
-	return val, grad.Norm2(), nil
+	return val, scale, grad.Norm2(), nil
 }
 
 // lineSearchAndStep performs a backtracking line search on t·f + φ along dir,
 // first shrinking the step to stay strictly inside the constraints, then
-// enforcing an Armijo decrease. x is updated in place; every trial reuses
-// the workspace vectors, so backtracking allocates nothing. Returns false
-// when no step could be taken.
+// enforcing an Armijo decrease. v0 and scale are newtonStep's barrier value
+// at x and its magnitude, and slack already holds the slack at x. x is
+// updated in place; every trial reuses the workspace vectors, so
+// backtracking allocates nothing. Returns false when centering should
+// stop: no step could be taken, the predicted decrease is below the
+// roundoff floor, or the accepted step made no measurable decrease.
 func lineSearchAndStep(f Objective, a *linalg.Matrix, b linalg.Vector, x, dir linalg.Vector,
-	t float64, grad, slack linalg.Vector, ws *denseWorkspace) bool {
+	t, v0, scale float64, grad, slack linalg.Vector, ws *denseWorkspace) bool {
 
 	const (
 		alpha = 0.25
@@ -297,7 +326,6 @@ func lineSearchAndStep(f Objective, a *linalg.Matrix, b linalg.Vector, x, dir li
 	// Shrink to remain strictly feasible: need slack - step·(A·dir) > 0.
 	if a != nil {
 		a.MulVec(dir, ws.adir)
-		computeSlack(a, b, x, slack)
 		for i := range ws.adir {
 			if ws.adir[i] > 0 {
 				limit := slack[i] / ws.adir[i]
@@ -310,15 +338,17 @@ func lineSearchAndStep(f Objective, a *linalg.Matrix, b linalg.Vector, x, dir li
 	if step <= 0 || math.IsNaN(step) {
 		return false
 	}
-	v0 := denseBarrierVal(f, a, b, x, t, ws.ts)
 	slope := grad.Dot(dir) // should be negative
+	if -slope <= roundoffFloor*scale {
+		return false
+	}
 	for k := 0; k < 60; k++ {
 		copy(ws.trial, x)
 		ws.trial.AddScaled(step, dir)
 		v := denseBarrierVal(f, a, b, ws.trial, t, ws.ts)
 		if v <= v0+alpha*step*slope && !math.IsNaN(v) {
 			copy(x, ws.trial)
-			return true
+			return v < v0
 		}
 		step *= beta
 	}

@@ -154,6 +154,7 @@ type sparseSolver struct {
 	gradW    []linalg.Vector // per-worker gradient partials
 	hvW      [][]float64     // per-worker Hessian value partials
 	phiW     []float64       // per-worker barrier partial sums
+	absW     []float64       // per-worker Σ|log sᵢ| partials (barrier scale)
 	mvTasks  []*linalg.PoolTask
 	asmTasks []*linalg.PoolTask
 	barTasks []*linalg.PoolTask
@@ -249,6 +250,7 @@ func (pr *SparseProgram) newWorkspace() *sparseSolver {
 		s.gradW = make([]linalg.Vector, w)
 		s.hvW = make([][]float64, w)
 		s.phiW = make([]float64, w)
+		s.absW = make([]float64, w)
 		for i := 0; i < w; i++ {
 			i := i
 			s.gradW[i] = linalg.NewVector(n)
@@ -366,19 +368,22 @@ func (s *sparseSolver) asmShard(w int) {
 }
 
 // barShard evaluates the barrier sum −Σ log(sᵢ − step·(A·dir)ᵢ) over its
-// row shard into phiW[w]; a non-positive trial slack flips fail.
+// row shard into phiW[w], and Σ|log| into absW[w]; a non-positive trial
+// slack flips fail.
 func (s *sparseSolver) barShard(w int) {
 	step := s.curStep
-	phi := 0.0
+	phi, abs := 0.0, 0.0
 	for i := s.rowPtr[w]; i < s.rowPtr[w+1]; i++ {
 		ts := s.slack[i] - step*s.adir[i]
 		if ts <= 0 {
 			s.fail.Store(true)
 			return
 		}
-		phi -= math.Log(ts)
+		l := math.Log(ts)
+		phi -= l
+		abs += math.Abs(l)
 	}
-	s.phiW[w] = phi
+	s.phiW[w], s.absW[w] = phi, abs
 }
 
 // newtonStep assembles the gradient and sparse Hessian of t·f + φ at x
@@ -447,41 +452,49 @@ func (s *sparseSolver) newtonStep(x linalg.Vector, t float64) (float64, error) {
 // trialBarrier evaluates t·f + φ at x + step·dir using the slack and
 // A·dir vectors already computed by the line search: the trial slack is
 // slack − step·(A·dir), so backtracking never re-runs the constraint
-// mat-vec. step 0 evaluates the current point.
-func (s *sparseSolver) trialBarrier(x linalg.Vector, step, t float64) float64 {
+// mat-vec. step 0 evaluates the current point. The second result is the
+// magnitude |t·f| + Σ|log sᵢ| of the terms summed (see roundoffFloor).
+func (s *sparseSolver) trialBarrier(x linalg.Vector, step, t float64) (float64, float64) {
 	copy(s.trial, x)
 	if step != 0 {
 		s.trial.AddScaled(step, s.dir)
 	}
 	v := t * s.f.Value(s.trial)
+	scale := math.Abs(v)
 	if s.a == nil {
-		return v
+		return v, scale
 	}
 	if s.barTasks != nil && s.m >= barrierParallelMinRows {
 		s.fail.Store(false)
 		s.curStep = step
 		linalg.RunTasks(s.barTasks, &s.wg)
 		if s.fail.Load() {
-			return math.Inf(1)
+			return math.Inf(1), math.Inf(1)
 		}
-		for _, phi := range s.phiW {
+		for w, phi := range s.phiW {
 			v += phi
+			scale += s.absW[w]
 		}
-		return v
+		return v, scale
 	}
 	for i := 0; i < s.m; i++ {
 		ts := s.slack[i] - step*s.adir[i]
 		if ts <= 0 {
-			return math.Inf(1)
+			return math.Inf(1), math.Inf(1)
 		}
-		v -= math.Log(ts)
+		l := math.Log(ts)
+		v -= l
+		scale += math.Abs(l)
 	}
-	return v
+	return v, scale
 }
 
 // lineSearch backtracks along s.dir from x, first shrinking to stay
-// strictly feasible, then enforcing an Armijo decrease. x is updated in
-// place; returns false when no step could be taken. Zero allocations.
+// strictly feasible, then enforcing an Armijo decrease. s.slack must hold
+// the slack at x, as newtonStep leaves it. x is updated in place; returns
+// false when centering should stop: no step could be taken, the predicted
+// decrease is below the roundoff floor, or the accepted step made no
+// measurable decrease. Zero allocations.
 func (s *sparseSolver) lineSearch(x linalg.Vector, t float64) bool {
 	const (
 		alpha = 0.25
@@ -490,7 +503,6 @@ func (s *sparseSolver) lineSearch(x linalg.Vector, t float64) bool {
 	step := 1.0
 	if s.a != nil {
 		s.mulA(s.dir, s.adir)
-		s.computeSlack(x, s.slack)
 		for i := range s.adir {
 			if s.adir[i] > 0 {
 				limit := s.slack[i] / s.adir[i]
@@ -503,13 +515,16 @@ func (s *sparseSolver) lineSearch(x linalg.Vector, t float64) bool {
 	if step <= 0 || math.IsNaN(step) {
 		return false
 	}
-	v0 := s.trialBarrier(x, 0, t)
+	v0, scale := s.trialBarrier(x, 0, t)
 	slope := s.grad.Dot(s.dir)
+	if -slope <= roundoffFloor*scale {
+		return false
+	}
 	for k := 0; k < 60; k++ {
-		v := s.trialBarrier(x, step, t)
+		v, _ := s.trialBarrier(x, step, t)
 		if v <= v0+alpha*step*slope && !math.IsNaN(v) {
 			copy(x, s.trial) // trialBarrier left x + step·dir here
-			return true
+			return v < v0
 		}
 		step *= beta
 	}

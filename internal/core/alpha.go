@@ -269,7 +269,7 @@ func (p *Problem) SolveContinuousNumericAlpha(smax, alpha float64, opts Continuo
 		}
 	}
 	return p.alphaSolutionFromSpeeds(speeds, alpha, Stats{
-		Algorithm: "continuous-interior-point-alpha", Newton: res.Newton, Exact: true, BoundFactor: 1,
+		Algorithm: "continuous-interior-point-alpha", Newton: res.Newton, OuterStages: res.OuterStages, Exact: true, BoundFactor: 1,
 	})
 }
 

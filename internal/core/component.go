@@ -85,6 +85,7 @@ func (p *Problem) MergeSolutions(comps []Component, sols []*Solution) (*Solution
 		st.Nodes += sol.Stats.Nodes
 		st.Pivots += sol.Stats.Pivots
 		st.Newton += sol.Stats.Newton
+		st.OuterStages += sol.Stats.OuterStages
 		if sol.Stats.FrontierPeak > st.FrontierPeak {
 			st.FrontierPeak = sol.Stats.FrontierPeak
 		}

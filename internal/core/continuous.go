@@ -335,6 +335,7 @@ func (p *Problem) SolveContinuousNumeric(smax float64, opts ContinuousOptions) (
 	sol, err := p.solutionFromSpeedsAt(m, speeds, release, Stats{
 		Algorithm:             "continuous-interior-point",
 		Newton:                res.Newton,
+		OuterStages:           res.OuterStages,
 		Exact:                 true, // up to the numeric gap
 		BoundFactor:           1,
 		PrecedenceRowsDropped: ker.rowsDropped,

@@ -237,6 +237,7 @@ func (p *Problem) SolvePerProcessorContinuous(m *platform.Mapping, smax float64,
 	return p.solutionFromSpeeds(mm, speeds, Stats{
 		Algorithm:   "per-processor-continuous",
 		Newton:      res.Newton,
+		OuterStages: res.OuterStages,
 		Exact:       true,
 		BoundFactor: 1,
 	})

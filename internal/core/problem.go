@@ -78,6 +78,9 @@ type Stats struct {
 	Pivots int
 	// Newton counts interior-point Newton iterations (continuous numeric).
 	Newton int
+	// OuterStages counts interior-point barrier (centering) stages
+	// (continuous numeric).
+	OuterStages int
 	// FrontierPeak is the largest Pareto frontier (discrete SP solver).
 	FrontierPeak int
 	// Exact is true when the result is provably optimal for its model.

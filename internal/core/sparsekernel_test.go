@@ -2,9 +2,11 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
+	"repro/internal/graph"
 	"repro/internal/workload"
 )
 
@@ -198,5 +200,61 @@ func TestSparseKernelLargeChain(t *testing.T) {
 	}
 	if rel := math.Abs(sol.Energy-closed.Energy) / closed.Energy; rel > 1e-6 {
 		t.Fatalf("kernel energy %.9g vs closed form %.9g (rel %g)", sol.Energy, closed.Energy, rel)
+	}
+}
+
+// TestCenteringStopsAtRoundoffFloor is the regression test for the
+// barrier method spinning at the roundoff floor. On these layered DAGs
+// the final barrier weights push t·f past 1e9, where a double can no
+// longer resolve the Newton decrement the absolute 1e-12 test asks for;
+// before the precision-aware stop, several stages ran to MaxNewton = 60
+// on steps that changed nothing. No stage may come near that cap now,
+// and the energies must still match the values recorded before the
+// stop rule changed.
+func TestCenteringStopsAtRoundoffFloor(t *testing.T) {
+	cases := []struct {
+		layers int
+		dense  bool    // also solve on the dense oracle (small instances)
+		want   float64 // energy before the stop rule changed
+	}{
+		{layers: 4, dense: true, want: 675.69813513375061},
+		{layers: 20, want: 3202.435767271294},
+	}
+	for _, c := range cases {
+		g := graph.Layered(rand.New(rand.NewSource(13)), c.layers, 12, 0.25, graph.UniformWeights(1, 5))
+		cp, err := g.CriticalPathWeight()
+		if err != nil {
+			t.Fatal(err)
+		}
+		const smax = 4.0
+		p, err := NewProblem(g, 1.5*cp/smax)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kernels := []bool{false}
+		if c.dense {
+			kernels = append(kernels, true)
+		}
+		var energies []float64
+		for _, dense := range kernels {
+			sol, err := p.SolveContinuousNumeric(smax, ContinuousOptions{DenseKernel: dense})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := sol.Stats
+			if st.OuterStages == 0 || st.Newton > 20*st.OuterStages {
+				t.Errorf("n=%d dense=%v: %d Newton iterations over %d stages — centering is spinning",
+					g.N(), dense, st.Newton, st.OuterStages)
+			}
+			if rel := math.Abs(sol.Energy-c.want) / c.want; rel > 1e-9 {
+				t.Errorf("n=%d dense=%v: energy %.17g, want %.17g (rel %g)", g.N(), dense, sol.Energy, c.want, rel)
+			}
+			energies = append(energies, sol.Energy)
+		}
+		if len(energies) == 2 {
+			if rel := math.Abs(energies[0]-energies[1]) / energies[1]; rel > 1e-9 {
+				t.Errorf("n=%d: sparse %.17g vs dense %.17g (rel %g)", g.N(), energies[0], energies[1], rel)
+			}
+		}
 	}
 }

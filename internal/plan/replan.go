@@ -271,6 +271,7 @@ func (pl *Plan) mergeResidual(sols []*core.Solution) (*core.Solution, error) {
 		st.Nodes += sol.Stats.Nodes
 		st.Pivots += sol.Stats.Pivots
 		st.Newton += sol.Stats.Newton
+		st.OuterStages += sol.Stats.OuterStages
 		if sol.Stats.FrontierPeak > st.FrontierPeak {
 			st.FrontierPeak = sol.Stats.FrontierPeak
 		}

@@ -107,6 +107,8 @@ var (
 	ErrBadEvent = errors.New("reclaim: invalid completion event")
 	// ErrSessionDone is returned once every task has completed.
 	ErrSessionDone = errors.New("reclaim: session complete — no tasks remain")
+	// ErrSessionClosed is returned for events sent after Close.
+	ErrSessionClosed = errors.New("reclaim: session closed")
 	// ErrInfeasible re-exports the solver sentinel: a late completion can
 	// push the residual past the deadline. The completion itself is still
 	// recorded; remaining tasks keep their previous (now deadline-
@@ -173,6 +175,9 @@ type Session struct {
 	// pinned holds the structure-cache keys this session has pinned —
 	// exactly one pin per unique key, released by Close.
 	pinned map[[32]byte]bool
+	// closed is set by Close; a closed session accepts no more events, so
+	// no replan can pin a structure after the pins were released.
+	closed bool
 
 	// onComponent, when set, observes every re-solved residual component
 	// the moment its solver finishes (see SetOnComponent).
@@ -253,12 +258,14 @@ func (s *Session) pinStructuresLocked(p *core.Problem) {
 	}
 }
 
-// Close releases the session's structure-cache pins. Idempotent; sessions
-// without a structure cache need not call it. The session remains usable
-// afterwards — its structures just lose eviction immunity.
+// Close ends the session and releases its structure-cache pins. It is
+// terminal: later events fail with ErrSessionClosed and trigger no
+// replan, so nothing can re-pin a structure after the release. The
+// read-only accessors keep answering from the last state. Idempotent.
 func (s *Session) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.closed = true
 	if sc := s.opts.Structures; sc != nil {
 		for k := range s.pinned {
 			sc.Unpin(k)
@@ -293,6 +300,9 @@ func (s *Session) ApplyEventGated(ev CompletionEvent, gate ReplanGate) (*EventRe
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
+	if s.closed {
+		return nil, ErrSessionClosed
+	}
 	if s.remaining == 0 {
 		return nil, ErrSessionDone
 	}

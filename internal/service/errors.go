@@ -114,7 +114,9 @@ func codeFor(err error) Code {
 		return CodeBadEvent
 	case errors.Is(err, reclaim.ErrSessionDone):
 		return CodeSessionClosed
-	case errors.Is(err, ErrSessionNotFound):
+	case errors.Is(err, ErrSessionNotFound), errors.Is(err, reclaim.ErrSessionClosed):
+		// A closed session was removed from the store: a batch that
+		// looked it up before the removal sees it as gone.
 		return CodeSessionNotFound
 	case errors.Is(err, ErrTooManySessions):
 		return CodeCapacity

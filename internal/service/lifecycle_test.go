@@ -126,7 +126,8 @@ func TestSessionDeleteDuringEvents(t *testing.T) {
 		})
 		done <- outcome{resp, err}
 	}()
-	time.Sleep(30 * time.Millisecond) // batch is now blocked in the gate
+	// The gate takes its admission token before it blocks on the pool.
+	waitFor(t, "batch parked in the pool gate", func() bool { return e.adm.Depth() == 1 })
 	if err := st.Delete(sess.SessionID); err != nil {
 		t.Fatalf("delete: %v", err)
 	}
@@ -135,7 +136,21 @@ func TestSessionDeleteDuringEvents(t *testing.T) {
 	if out.err != nil {
 		t.Fatalf("events: %v", out.err)
 	}
-	results := out.resp.Results
+	checkBatchCutByDelete(t, out.resp)
+	if _, err := st.Events(ctx, sess.SessionID, []reclaim.CompletionEvent{{Task: 3, ActualDuration: 1}}); !errors.Is(err, ErrSessionNotFound) {
+		t.Fatalf("deleted session still accepts batches: %v", err)
+	}
+	if got := e.adm.Depth(); got != 0 {
+		t.Fatalf("backlog leaked %d tokens across the gated batch", got)
+	}
+}
+
+// checkBatchCutByDelete asserts the outcome of a three-event batch whose
+// first event was parked in the pool gate while its session was deleted:
+// that event is recorded, the other two fail with session_not_found.
+func checkBatchCutByDelete(t *testing.T, resp *SessionEventsResponse) {
+	t.Helper()
+	results := resp.Results
 	if len(results) != 3 {
 		t.Fatalf("want 3 results, got %d", len(results))
 	}
@@ -147,11 +162,73 @@ func TestSessionDeleteDuringEvents(t *testing.T) {
 			t.Fatalf("event %d after the delete = %+v, want session_not_found and no result", i, results[i])
 		}
 	}
-	if _, err := st.Events(ctx, sess.SessionID, []reclaim.CompletionEvent{{Task: 3, ActualDuration: 1}}); !errors.Is(err, ErrSessionNotFound) {
-		t.Fatalf("deleted session still accepts batches: %v", err)
+}
+
+// TestEventsRacingDeleteReleaseEveryPin regresses the structure-pin
+// release race. Delete closes the session off the store lock, so the
+// pins are released only when that Close returns: the closing gauge
+// counts it, and a leak check must wait on that gauge, not on time. The
+// batch's first event is parked in the pool gate (Workers is 1 and the
+// test holds the only slot) while it holds the session lock, so Close is
+// stuck behind it and the gauge reads exactly 1. The parked replan then
+// pins its residual structure; Close must release that pin too. Close is
+// terminal: an event that reaches the closed session afterwards — a batch
+// that looked it up just before the delete — must neither replan nor
+// re-pin.
+func TestEventsRacingDeleteReleaseEveryPin(t *testing.T) {
+	e := NewEngine(Options{Workers: 1})
+	st := NewSessionStore(e, SessionConfig{MaxSessions: 4})
+	sess := mkSession(t, st, fiveChainBody)
+	entry, err := st.lookup(sess.SessionID)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := e.adm.Depth(); got != 0 {
-		t.Fatalf("backlog leaked %d tokens across the gated batch", got)
+	if e.Structures().Pinned() == 0 {
+		t.Fatal("a live session must pin its structure")
+	}
+
+	e.sem <- struct{}{} // occupy the only pool slot
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	done := make(chan *SessionEventsResponse, 1)
+	go func() {
+		resp, err := st.Events(ctx, sess.SessionID, []reclaim.CompletionEvent{
+			{Task: 0, ActualDuration: 1.0}, // deviating: parks in the pool gate
+			{Task: 1, ActualDuration: 1.0},
+			{Task: 2, ActualDuration: 1.0},
+		})
+		if err != nil {
+			t.Errorf("events: %v", err)
+		}
+		done <- resp
+	}()
+	waitFor(t, "batch parked in the pool gate", func() bool { return e.adm.Depth() == 1 })
+	if err := st.Delete(sess.SessionID); err != nil {
+		t.Fatalf("delete: %v", err)
+	}
+	if got := st.Stats().Closing; got != 1 {
+		t.Fatalf("closing gauge = %d while Close waits behind the parked batch, want 1", got)
+	}
+	<-e.sem // release the pool: the parked replan runs and pins its residual
+	resp := <-done
+	if resp == nil {
+		t.FailNow()
+	}
+	checkBatchCutByDelete(t, resp)
+	if resp.Results[0].Result.Clean {
+		t.Fatal("the parked event must have replanned")
+	}
+	waitFor(t, "session close drain", func() bool { return st.Stats().Closing == 0 })
+	if n := e.Structures().Pinned(); n != 0 {
+		t.Fatalf("%d structure pins leaked after the close drained", n)
+	}
+
+	// A deviating event on the closed session is refused before any replan.
+	if _, err := entry.sess.ApplyEvent(reclaim.CompletionEvent{Task: 1, ActualDuration: 1.0}); !errors.Is(err, reclaim.ErrSessionClosed) {
+		t.Fatalf("event on a closed session: %v, want ErrSessionClosed", err)
+	}
+	if n := e.Structures().Pinned(); n != 0 {
+		t.Fatalf("closed session re-pinned %d structures", n)
 	}
 }
 

@@ -488,6 +488,9 @@ func TestChaosStorm(t *testing.T) {
 	if n := st.Stats().Live; n != 0 {
 		t.Fatalf("%d sessions leaked", n)
 	}
+	// Deleted sessions release their pins off the store lock; wait for
+	// those releases to finish, then the pin count must be exactly zero.
+	waitFor(t, "session close drain", func() bool { return st.Stats().Closing == 0 })
 	if n := e.Structures().Pinned(); n != 0 {
 		t.Fatalf("%d structure pins leaked", n)
 	}

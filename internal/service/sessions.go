@@ -199,6 +199,10 @@ type SessionStats struct {
 	// WatchersDropped counts /watch subscribers disconnected for falling
 	// behind their event buffer (slow consumers are dropped, not waited on).
 	WatchersDropped uint64 `json:"watchers_dropped"`
+	// Closing is the number of removed sessions whose Close (the release
+	// of their structure pins) is still in flight. Zero means every
+	// removed session has released its pins.
+	Closing int64 `json:"closing"`
 }
 
 // SessionStore owns the live sessions of one engine. Methods are safe for
@@ -221,6 +225,8 @@ type SessionStore struct {
 	evictedIdle     uint64
 
 	watchersDropped atomic.Uint64
+	// closing counts Closes started by closeAsync that have not returned.
+	closing atomic.Int64
 }
 
 // NewSessionStore builds a store over the engine's pool.
@@ -511,12 +517,21 @@ func (st *SessionStore) Delete(id string) error {
 	}
 	entry.closed.Store(true)
 	delete(st.sessions, id)
-	// Close takes the session lock (which a long replan may hold); release
-	// the structure pins off the store lock so Delete never stalls behind a
-	// solver run.
-	go entry.sess.Close()
+	st.closeAsync(entry)
 	entry.hub.close(EventClosed, watchTerminalData{SessionID: id, Reason: "deleted"})
 	return nil
+}
+
+// closeAsync closes a session just removed from the store. Close takes
+// the session lock, which a long replan may hold, so it runs off the store
+// lock: Delete and the sweep never stall behind a solver run. The closing
+// gauge counts it until its structure pins are released.
+func (st *SessionStore) closeAsync(e *sessionEntry) {
+	st.closing.Add(1)
+	go func() {
+		defer st.closing.Add(-1)
+		e.sess.Close()
+	}()
 }
 
 // List returns the live sessions, oldest first.
@@ -578,6 +593,7 @@ func (st *SessionStore) Stats() SessionStats {
 		EvictedFinished: st.evictedFinished,
 		EvictedIdle:     st.evictedIdle,
 		WatchersDropped: st.watchersDropped.Load(),
+		Closing:         st.closing.Load(),
 	}
 }
 
@@ -605,13 +621,13 @@ func (st *SessionStore) sweepLocked(now time.Time, pressure bool) {
 			e.closed.Store(true)
 			delete(st.sessions, id)
 			st.evictedFinished++
-			go e.sess.Close() // session lock; must not block the sweep
+			st.closeAsync(e)
 			e.hub.close(EventClosed, watchTerminalData{SessionID: id, Reason: "evicted"})
 		case idle >= st.cfg.IdleTTL:
 			e.closed.Store(true)
 			delete(st.sessions, id)
 			st.evictedIdle++
-			go e.sess.Close() // session lock; must not block the sweep
+			st.closeAsync(e)
 			e.hub.close(EventClosed, watchTerminalData{SessionID: id, Reason: "evicted"})
 		}
 	}
